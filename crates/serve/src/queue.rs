@@ -26,6 +26,8 @@ use crate::protocol;
 pub struct SubQueue {
     inner: Mutex<Inner>,
     ready: Condvar,
+    /// Signalled once the consumer has written everything it popped.
+    flushed: Condvar,
     pace_us: AtomicU64,
 }
 
@@ -35,6 +37,9 @@ struct Inner {
     dropped: u64,
     cap: usize,
     closed: bool,
+    /// The consumer finished: every line it popped reached the socket
+    /// (or the socket died).
+    finished: bool,
 }
 
 impl SubQueue {
@@ -46,8 +51,10 @@ impl SubQueue {
                 dropped: 0,
                 cap: cap.max(1),
                 closed: false,
+                finished: false,
             }),
             ready: Condvar::new(),
+            flushed: Condvar::new(),
             pace_us: AtomicU64::new(0),
         })
     }
@@ -139,6 +146,23 @@ impl SubQueue {
             }
             inner = self.ready.wait(inner).expect("queue lock");
         }
+    }
+
+    /// Called by the consumer when it stops: everything it popped has
+    /// been written out, or the connection is gone.
+    pub(crate) fn mark_finished(&self) {
+        self.inner.lock().expect("queue lock").finished = true;
+        self.flushed.notify_all();
+    }
+
+    /// Blocks until the consumer calls [`SubQueue::mark_finished`] or
+    /// `timeout` passes.
+    pub(crate) fn wait_finished(&self, timeout: std::time::Duration) {
+        let inner = self.inner.lock().expect("queue lock");
+        let waited = self
+            .flushed
+            .wait_timeout_while(inner, timeout, |i| !i.finished);
+        drop(waited.expect("queue lock"));
     }
 }
 

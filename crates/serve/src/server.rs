@@ -204,6 +204,10 @@ fn on_off(flags: &HashMap<String, String>, key: &str, what: &'static str) -> Res
     }
 }
 
+/// Longest the scheduler waits, at shutdown, for the requester's writer
+/// to put the `shutdown` reply on the wire.
+const SHUTDOWN_FLUSH: std::time::Duration = std::time::Duration::from_secs(5);
+
 /// A running daemon: the bound address plus the threads to join.
 #[derive(Debug)]
 pub struct ServerHandle {
@@ -218,7 +222,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Blocks until the daemon stops (a client sent `shutdown`).
+    /// Blocks until the daemon stops (a client sent `shutdown`). Returns
+    /// only after the `shutdown` reply has been written to the requester
+    /// (the daemon waits up to five seconds for it), so a process that
+    /// exits right after `wait` does not lose it. Other connections are
+    /// not waited on.
     pub fn wait(self) {
         let _ = self.scheduler.join();
         let _ = self.listener.join();
@@ -332,6 +340,7 @@ fn writer_loop(mut stream: TcpStream, queue: &Arc<SubQueue>) {
         }
     }
     let _ = stream.shutdown(Shutdown::Write);
+    queue.mark_finished();
 }
 
 fn scheduler_loop(
@@ -379,6 +388,11 @@ fn scheduler_loop(
                     stop.store(true, Ordering::Relaxed);
                     // Unblock the listener's accept so it observes `stop`.
                     let _ = TcpStream::connect(addr);
+                    // The requester's writer drains its closed queue and
+                    // exits; `ServerHandle::wait` joins this thread, so
+                    // the reply is on the wire before the process can
+                    // exit.
+                    queue.wait_finished(SHUTDOWN_FLUSH);
                     break;
                 }
             }
@@ -519,4 +533,46 @@ fn handle(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The scheduler thread (which [`ServerHandle::wait`] joins) stops
+    /// only after the requester's writer reports the `shutdown` reply
+    /// written — this test plays that writer.
+    #[test]
+    fn shutdown_waits_for_the_requesters_writer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let scheduler = thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            let cluster = Cluster::new(ClusterConfig::default());
+            scheduler_loop(cluster, ClockMode::Virtual, &rx, &stop, addr);
+            done_tx.send(()).expect("test is listening");
+        });
+        let queue = SubQueue::new(protocol::DEFAULT_EVENT_QUEUE);
+        let env = protocol::parse_request(r#"{"op":"shutdown"}"#).expect("request");
+        tx.send(Command::Request {
+            env,
+            queue: Arc::clone(&queue),
+        })
+        .expect("send");
+        let reply = queue.pop().expect("shutdown reply");
+        assert!(reply.contains("\"reply\":\"shutdown\""), "{reply}");
+        assert!(queue.pop().is_none(), "the requester's queue is closed");
+        let early = done_rx.recv_timeout(std::time::Duration::from_millis(500));
+        assert!(
+            early.is_err(),
+            "scheduler stopped before the reply was written"
+        );
+        queue.mark_finished();
+        done_rx
+            .recv()
+            .expect("scheduler stops once the reply is written");
+        scheduler.join().expect("scheduler thread");
+    }
 }

@@ -240,3 +240,67 @@ fn from_flags_rejects_unknown_flags() {
     flags.remove("preempt");
     assert!(ServeConfig::from_flags(&flags).is_ok());
 }
+
+#[test]
+fn shutdown_reply_reaches_every_requester() {
+    // `ServerHandle::wait` returns only once the requester's writer has
+    // put the reply on the wire, so the reply is in this socket's buffer
+    // (followed by EOF) however the daemon's threads were scheduled.
+    for round in 0..100 {
+        let handle = serve(ServeConfig {
+            cluster: cfg(),
+            clock: ClockMode::Virtual,
+            addr: "127.0.0.1:0".into(),
+        })
+        .expect("bind");
+        let mut control = Client::connect(handle.addr()).expect("connect");
+        control
+            .send(&request("shutdown", vec![]))
+            .expect("send shutdown");
+        handle.wait();
+        let reply = control.recv().expect("read shutdown reply");
+        let reply = reply.unwrap_or_else(|| panic!("round {round}: shutdown reply lost"));
+        assert_eq!(reply.get("reply").and_then(Value::as_str), Some("shutdown"));
+        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+        assert!(control.recv().expect("read EOF").is_none(), "round {round}");
+    }
+}
+
+#[test]
+fn unmeasurable_job_is_rejected_and_drain_still_replies() {
+    let handle = serve(ServeConfig {
+        cluster: cfg(),
+        clock: ClockMode::Virtual,
+        addr: "127.0.0.1:0".into(),
+    })
+    .expect("bind");
+    let mut control = Client::connect(handle.addr()).expect("connect");
+    // A 2.4 PB activation: the footprint measuring run itself fails.
+    let mut huge = job("huge", 4_000_000_000, 1, 0.0);
+    huge.model = ModelKind::ResNet50;
+    let huge_id = submit(&mut control, &huge);
+    let normal_id = submit(&mut control, &job("normal", 32, 2, 0.0));
+    let drained = control.request(&request("drain", vec![])).expect("drain");
+    let stats = drained.get("stats").expect("drain stats");
+    assert_eq!(
+        stats.get("oom_rejections").and_then(Value::as_u64),
+        Some(1),
+        "{drained:?}"
+    );
+    assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
+    for (id, want) in [(huge_id, "Rejected"), (normal_id, "Completed")] {
+        let reply = control
+            .request(&request(
+                "status",
+                vec![("job".to_owned(), Value::UInt(id))],
+            ))
+            .expect("status");
+        let state = reply
+            .get("status")
+            .and_then(|s| s.get("state"))
+            .and_then(Value::as_str);
+        assert_eq!(state, Some(want), "job {id}: {reply:?}");
+    }
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}

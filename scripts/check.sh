@@ -61,4 +61,15 @@ wait "$serve_pid"   # shutdown op must terminate the daemon cleanly
 trap - EXIT
 rm -f "$serve_log"
 
+echo "==> benchmark crate: build, then a 2 s smoke of every workload (result line must read \"correct\":true)"
+# perfbench has its own [workspace], so the builds above never compile it.
+for workload in train_oversub cluster_trace cluster_admit serve_wire; do
+  result="$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+  case "$result" in
+    *'"correct":true'*) echo "[perfbench] $workload: correct" ;;
+    *) echo "perfbench $workload failed its checks: $result"; exit 1 ;;
+  esac
+done
+
 echo "==> all checks passed"
