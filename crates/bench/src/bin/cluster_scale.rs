@@ -5,11 +5,16 @@
 //! index ([`capuchin_cluster::GpuPool`]), the waiting queue is keyed for
 //! O(log n) removal, and elastic-ladder probes are memoized per pool
 //! generation — this bench is the perf-trajectory artifact that keeps
-//! those asymptotics honest. Three scenarios:
+//! those asymptotics honest. Four scenarios:
 //!
-//! * `smoke`  —   64 GPUs /   2k jobs, FIFO, tf-ori admission: the CI
-//!   guard row. `--smoke` re-runs exactly this row and fails when the
-//!   measured wall-clock-per-job is more than 2× the committed
+//! * `smoke`  —   64 GPUs /   2k jobs, FIFO, tf-ori admission: a CI
+//!   guard row.
+//! * `smoke_bestfit` — 64 GPUs / 2k jobs, best-fit + preemption +
+//!   elastic, tf-ori admission: the CI guard row that clocks the
+//!   best-fit pick, the victim search and the elastic pass.
+//!
+//!   `--smoke` re-runs exactly the two smoke rows and fails when either
+//!   one's measured wall-clock-per-job is more than 2× its committed
 //!   `results/cluster_scale.json` baseline (a soft guard: machines
 //!   differ, asymptotic regressions don't hide inside 2×).
 //! * `medium` —  256 GPUs /  20k jobs, best-fit + preemption + elastic:
@@ -93,6 +98,14 @@ const SMOKE: Scenario = Scenario {
     preemption: false,
     elastic: false,
     pcie: false,
+};
+
+const SMOKE_BESTFIT: Scenario = Scenario {
+    name: "smoke_bestfit",
+    strategy: StrategyKind::BestFit,
+    preemption: true,
+    elastic: true,
+    ..SMOKE
 };
 
 const MEDIUM: Scenario = Scenario {
@@ -199,41 +212,50 @@ fn run_scenario(sc: &Scenario) -> ScaleRun {
     run
 }
 
-/// The `--smoke` guard: re-run the smoke row and compare against the
-/// committed artifact's baseline. More than 2× slower per job fails.
+/// The `--smoke` guard: re-run both smoke rows and compare each against
+/// its committed baseline. More than 2× slower per job fails.
 fn smoke_guard() -> ! {
-    let run = run_scenario(&SMOKE);
     let committed = std::fs::read_to_string("results/cluster_scale.json")
         .ok()
         .and_then(|s| serde_json::from_str::<ScaleArtifact>(&s).ok());
-    let baseline = committed
-        .as_ref()
-        .and_then(|a| a.runs.iter().find(|r| r.name == "smoke"));
-    match baseline {
-        Some(base) => {
-            let ratio = run.us_per_job / base.us_per_job;
+    let mut regressed = false;
+    for sc in [&SMOKE, &SMOKE_BESTFIT] {
+        let run = run_scenario(sc);
+        let baseline = committed
+            .as_ref()
+            .and_then(|a| a.runs.iter().find(|r| r.name == sc.name));
+        let Some(base) = baseline else {
             eprintln!(
-                "[smoke] {:.1}us/job vs committed {:.1}us/job ({ratio:.2}x)",
-                run.us_per_job, base.us_per_job
+                "[{}] no committed baseline; measurement recorded above",
+                sc.name
             );
-            if ratio > 2.0 {
-                eprintln!(
-                    "error: wall-clock-per-job regressed {ratio:.2}x over the \
-                     committed baseline (limit 2x) — re-profile before shipping"
-                );
-                std::process::exit(1);
-            }
+            continue;
+        };
+        let ratio = run.us_per_job / base.us_per_job;
+        eprintln!(
+            "[{}] {:.1}us/job vs committed {:.1}us/job ({ratio:.2}x)",
+            sc.name, run.us_per_job, base.us_per_job
+        );
+        if ratio > 2.0 {
+            eprintln!(
+                "error: {} wall-clock-per-job regressed {ratio:.2}x over the \
+                 committed baseline (limit 2x) — re-profile before shipping",
+                sc.name
+            );
+            regressed = true;
         }
-        None => eprintln!("[smoke] no committed baseline; measurement recorded above"),
     }
-    std::process::exit(0);
+    std::process::exit(i32::from(regressed));
 }
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         smoke_guard();
     }
-    let runs: Vec<ScaleRun> = [SMOKE, MEDIUM, LARGE].iter().map(run_scenario).collect();
+    let runs: Vec<ScaleRun> = [SMOKE, SMOKE_BESTFIT, MEDIUM, LARGE]
+        .iter()
+        .map(run_scenario)
+        .collect();
     let large = runs.iter().find(|r| r.name == "large").expect("large row");
     assert!(
         large.wall_secs < 10.0,

@@ -88,6 +88,18 @@ impl Cluster {
         }
         let waiting: Vec<usize> = s.pending_elastic.values().copied().collect();
         for job in waiting {
+            // Known floor first: when even the smallest rung's minimum
+            // exceeds the best headroom anywhere, no rung can fit — skip
+            // before building the ladder. Every estimate and validation
+            // run is charged right after it runs, so none is pending for
+            // this job to absorb.
+            if s.jobs[job]
+                .ladder_floor_min
+                .is_some_and(|f| f > s.pool.max_headroom())
+            {
+                debug_assert_eq!(self.charged_runs, self.admission.validation_runs());
+                continue;
+            }
             // Admissions earlier in this pass moved the pool
             // generation, so the memo check lives inside the loop.
             if s.ladder_gen != s.pool.generation() {
@@ -106,10 +118,9 @@ impl Cluster {
                 }
                 continue;
             }
-            // Cheap reject before any probe: if even the smallest
-            // rung's minimum exceeds the best headroom anywhere, no
-            // rung can fit (every rung's fit threshold is at least
-            // its own minimum, which is at least the ladder floor).
+            // Cheap reject before any probe, for a floor measured just
+            // now: every rung's fit threshold is at least its own
+            // minimum, which is at least the ladder floor.
             let floor_min = match s.jobs[job].ladder_floor_min {
                 Some(v) => v,
                 None => {

@@ -202,87 +202,162 @@ impl Cluster {
 /// with the victim's priority strictly below the waiter's effective
 /// priority. A victim gang is evicted whole — releasing its reservation
 /// on *every* device it holds — or not at all.
-fn pick_preemption(s: &Session, now: Time, aging_rate: f64, slo_aware: bool) -> Option<usize> {
-    let jobs = &s.jobs;
-    let ap = aging_permille(aging_rate);
-    let eff = |priority: u32, since: Time| {
-        effective_priority_permille(priority, ap, now.saturating_since(since))
-    };
-    // A waiter's urgency includes its SLO boost: a latency job with
-    // requests burning slack can evict where its static priority alone
-    // could not. 0 for training waiters and under SLO-blind scheduling.
-    let eff_of = |p: usize| {
-        eff(jobs[p].spec.priority, jobs[p].queued_at) + jobs[p].slo_boost(now, slo_aware) as u128
-    };
-    // Would evicting `victim` open enough devices for waiter `jp`'s full
-    // gang? The fit predicate is monotone in headroom (a per-waiter
-    // threshold, see [`CandidateJob::fit_threshold`]), so the base count
-    // is one index probe; the victim's held devices — the only ones whose
-    // headroom the eviction changes, disjoint from the base count since
-    // they sit below the threshold — are then credited individually.
-    let gang_fits = |jp: &JobRun, victim: Option<usize>| {
-        let cand = jp.candidate(0);
-        let Some(t) = cand.fit_threshold() else {
-            // A failed budget at or above the full need: no headroom,
-            // freed or not, can ever satisfy this waiter.
-            return false;
-        };
-        let width = jp.width();
-        let base = s.pool.count_at_least(t, width);
-        if base >= width {
-            return true;
+///
+/// Dominated waiters are skipped without a scan. Waiters arrive in
+/// descending effective priority, so each one's victim set is a prefix
+/// of the one before it, and the post-eviction fit count is
+/// non-increasing in the threshold. A waiter of width `w` and threshold
+/// `t` that found no victim therefore proves every later waiter with
+/// `w' >= w` and `t' >= t` finds none either.
+pub(super) fn pick_preemption(
+    s: &Session,
+    now: Time,
+    aging_rate: f64,
+    slo_aware: bool,
+) -> Option<usize> {
+    let victims = victim_pool(s);
+    // Failed shapes as an antichain of `(width, threshold rank)`.
+    let mut failed: Vec<(usize, u128)> = Vec::new();
+    for (p, ep) in waiters_by_urgency(s, now, aging_rate, slo_aware) {
+        let jp = &s.jobs[p];
+        // A `None` threshold (no headroom can ever satisfy it) ranks
+        // above every real one.
+        let t = jp
+            .candidate(0)
+            .fit_threshold()
+            .map_or(u128::MAX, u128::from);
+        let w = jp.width();
+        if failed.iter().any(|&(fw, ft)| w >= fw && t >= ft) {
+            continue;
         }
-        let Some(v) = victim else { return false };
-        let vres = jobs[v].reserved;
-        let credited = jobs[v]
-            .gpus_held
-            .iter()
-            .filter(|&&g| {
-                let h = s.pool.headroom(g);
-                h < t && h + vres >= t
-            })
-            .count();
-        base + credited >= width
-    };
-    let mut waiters: Vec<usize> = s
-        .pending
-        .values()
-        .copied()
-        .filter(|&p| jobs[p].checkpoint.is_none())
-        .collect();
-    waiters.sort_by_cached_key(|&a| {
-        (
-            Reverse(eff_of(a)),
-            Reverse(jobs[a].spec.priority),
-            jobs[a].queued_at.as_nanos(),
-            a,
-        )
-    });
-    for &p in &waiters {
-        let jp = &jobs[p];
-        let ep = eff_of(p);
-        if gang_fits(jp, None) {
+        if gang_fits(s, jp, None) {
             // Placeable without violence; the strategy just chose not to
             // (e.g. FIFO head-of-line). Preemption is not the tool.
             continue;
         }
-        // Inference residents are never victims: checkpoint-preempting a
-        // serving job mid-request would strand its in-flight latencies
-        // behind a host round-trip the SLO never priced.
-        let mut victims: Vec<usize> = s
-            .resident_jobs
+        let eligible = victims
             .iter()
-            .copied()
-            .filter(|&v| jobs[v].spec.class == JobClass::Training)
-            .filter(|&v| jobs[v].iterating && !jobs[v].preempting)
-            .filter(|&v| (jobs[v].spec.priority as u128) * 1000 < ep)
-            .collect();
-        victims.sort_by_key(|&v| (jobs[v].spec.priority, v));
-        for &v in &victims {
-            if gang_fits(jp, Some(v)) {
+            .take_while(|&&v| (s.jobs[v].spec.priority as u128) * 1000 < ep);
+        for &v in eligible {
+            if gang_fits(s, jp, Some(v)) {
+                return Some(v);
+            }
+        }
+        failed.retain(|&(fw, ft)| fw < w || ft < t);
+        failed.push((w, t));
+    }
+    None
+}
+
+/// The victim search without the dominated-waiter skip: every waiter
+/// scans its whole victim set — the reference [`pick_preemption`] is
+/// diffed against.
+#[cfg(test)]
+pub(super) fn pick_preemption_brute(
+    s: &Session,
+    now: Time,
+    aging_rate: f64,
+    slo_aware: bool,
+) -> Option<usize> {
+    let victims = victim_pool(s);
+    for (p, ep) in waiters_by_urgency(s, now, aging_rate, slo_aware) {
+        let jp = &s.jobs[p];
+        if gang_fits(s, jp, None) {
+            continue;
+        }
+        let eligible = victims
+            .iter()
+            .filter(|&&v| (s.jobs[v].spec.priority as u128) * 1000 < ep);
+        for &v in eligible {
+            if gang_fits(s, jp, Some(v)) {
                 return Some(v);
             }
         }
     }
     None
+}
+
+/// Fresh waiters (no checkpoint) with their effective priority, most
+/// urgent first. A waiter's urgency includes its SLO boost: a latency job
+/// with requests burning slack can evict where its static priority alone
+/// could not. The boost is 0 for training waiters and under SLO-blind
+/// scheduling.
+fn waiters_by_urgency(
+    s: &Session,
+    now: Time,
+    aging_rate: f64,
+    slo_aware: bool,
+) -> Vec<(usize, u128)> {
+    let jobs = &s.jobs;
+    let ap = aging_permille(aging_rate);
+    let mut waiters: Vec<(usize, u128)> = s
+        .pending
+        .values()
+        .copied()
+        .filter(|&p| jobs[p].checkpoint.is_none())
+        .map(|p| {
+            let j = &jobs[p];
+            let eff =
+                effective_priority_permille(j.spec.priority, ap, now.saturating_since(j.queued_at))
+                    + j.slo_boost(now, slo_aware) as u128;
+            (p, eff)
+        })
+        .collect();
+    waiters.sort_by_key(|&(p, eff)| {
+        (
+            Reverse(eff),
+            Reverse(jobs[p].spec.priority),
+            jobs[p].queued_at.as_nanos(),
+            p,
+        )
+    });
+    waiters
+}
+
+/// Every resident that may be evicted, lowest static priority first
+/// (ties: lowest job index). Inference residents are never victims:
+/// checkpoint-preempting a serving job mid-request would strand its
+/// in-flight latencies behind a host round-trip the SLO never priced.
+fn victim_pool(s: &Session) -> Vec<usize> {
+    let jobs = &s.jobs;
+    let mut victims: Vec<usize> = s
+        .resident_jobs
+        .iter()
+        .copied()
+        .filter(|&v| jobs[v].spec.class == JobClass::Training)
+        .filter(|&v| jobs[v].iterating && !jobs[v].preempting)
+        .collect();
+    victims.sort_by_key(|&v| (jobs[v].spec.priority, v));
+    victims
+}
+
+/// Would evicting `victim` (or nobody) open enough devices for waiter
+/// `jp`'s full gang? The fit predicate is monotone in headroom (a
+/// per-waiter threshold, see [`crate::CandidateJob::fit_threshold`]), so
+/// the base count is one index probe; the victim's held devices — the
+/// only ones whose headroom the eviction changes, disjoint from the base
+/// count since they sit below the threshold — are then credited
+/// individually.
+fn gang_fits(s: &Session, jp: &JobRun, victim: Option<usize>) -> bool {
+    let Some(t) = jp.candidate(0).fit_threshold() else {
+        // A failed budget at or above the full need: no headroom, freed
+        // or not, can ever satisfy this waiter.
+        return false;
+    };
+    let width = jp.width();
+    let base = s.pool.count_at_least(t, width);
+    if base >= width {
+        return true;
+    }
+    let Some(v) = victim else { return false };
+    let vres = s.jobs[v].reserved;
+    let credited = s.jobs[v]
+        .gpus_held
+        .iter()
+        .filter(|&&g| {
+            let h = s.pool.headroom(g);
+            h < t && h + vres >= t
+        })
+        .count();
+    base + credited >= width
 }

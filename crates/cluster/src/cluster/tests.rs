@@ -8,7 +8,7 @@ use capuchin_sim::{DeviceSpec, Duration, InterconnectSpec, Time};
 use super::session::{EmptyWalls, GpuState, JobRun};
 use super::*;
 use crate::admission::{AdmissionMode, ReplayIter};
-use crate::job::{synthetic_jobs, JobPolicy};
+use crate::job::{synthetic_inference_jobs, synthetic_jobs, synthetic_mixed_jobs, JobPolicy};
 use crate::strategy::StrategyKind;
 
 fn small_workload() -> Vec<JobSpec> {
@@ -756,4 +756,141 @@ fn undershooting_prediction_recovers_via_remeasure() {
     }
     let billed: u64 = stats.jobs.iter().map(|j| j.admission_validations).sum();
     assert_eq!(billed, cluster.validation_runs());
+}
+
+/// The dominated-waiter skip in [`settle::pick_preemption`] answers
+/// exactly what the unskipped search answers. Four low-priority
+/// residents fill four GPUs past half; behind a failing 4-wide gang queue
+/// same-shape and wider gangs (dominated: skipped), two waiters with no
+/// fit threshold at all, and an SLO-boosted inference waiter that can
+/// evict one resident. The cluster runs with preemption off so the
+/// queue holds still while both searches are diffed over aging rates,
+/// SLO awareness and clock offsets.
+#[test]
+fn preemption_skip_matches_unskipped_search_on_crafted_waiters() {
+    let train = |name: &str, batch: usize, gpus: usize, priority: u32, arrival: f64| JobSpec {
+        name: name.into(),
+        model: capuchin_models::ModelKind::Vgg16,
+        batch,
+        gpus,
+        policy: JobPolicy::TfOri,
+        iters: 400,
+        priority,
+        arrival_time: arrival,
+        elastic: false,
+        ..JobSpec::default()
+    };
+    let mut jobs: Vec<JobSpec> = (0..4)
+        .map(|i| train(&format!("resident{i}"), 48, 1, 0, 0.0))
+        .collect();
+    jobs.extend([
+        train("gang-a", 192, 4, 6, 1.0),
+        train("gang-b", 192, 4, 5, 1.1),
+        train("gang-c", 192, 4, 5, 1.2),
+        train("gang-wide", 256, 4, 4, 1.3),
+        train("hopeless", 48, 1, 7, 1.4),
+        train("hopeless-gang", 96, 2, 3, 1.5),
+        JobSpec {
+            name: "serving".into(),
+            priority: 0,
+            ..train("serving", 8, 1, 0, 1.6)
+        }
+        .into_inference(50.0, 100.0, 400, 4 << 30, 1),
+    ]);
+    let cfg = ClusterConfig::builder()
+        .gpus(4)
+        .spec(DeviceSpec::p100_pcie3().with_memory(6 << 30))
+        .strategy(StrategyKind::BestFit)
+        .admission(AdmissionMode::TfOri)
+        .preemption(false)
+        .build()
+        .unwrap();
+    let mut cluster = Cluster::new(cfg);
+    for spec in &jobs {
+        cluster.submit(spec);
+    }
+    cluster.advance_to(Time::from_micros(2_000_000));
+    let s = &mut cluster.session;
+    // No headroom can ever satisfy a budget that failed at its full need.
+    for hopeless in [8, 9] {
+        let j = &mut s.jobs[hopeless];
+        let full = j.needs.full;
+        j.failed.insert(j.spec.batch, full);
+    }
+    let s = &cluster.session;
+    let (residents, waiters) = ((0..4).collect::<Vec<_>>(), (4..11).collect::<Vec<_>>());
+    assert!(
+        residents.iter().all(|&r| s.jobs[r].iterating),
+        "residents run"
+    );
+    assert!(
+        waiters.iter().all(|w| s.pending.values().any(|p| p == w)),
+        "every waiter queues"
+    );
+    let threshold = |j: usize| s.jobs[j].candidate(j).fit_threshold();
+    assert_eq!(threshold(5), threshold(4));
+    assert!(threshold(7) > threshold(4), "the wide gang is dominated");
+    assert_eq!((threshold(8), threshold(9)), (None, None));
+    assert!(
+        s.jobs[10].slo_boost(s.now, true) > 0,
+        "requests are waiting"
+    );
+    for aging in [0.0, 0.1, 1.0] {
+        for slo_aware in [false, true] {
+            for offset_us in [0, 250_000, 5_000_000] {
+                let now = s.now + Duration::from_micros(offset_us);
+                let skip = settle::pick_preemption(s, now, aging, slo_aware);
+                let brute = settle::pick_preemption_brute(s, now, aging, slo_aware);
+                assert_eq!(
+                    skip, brute,
+                    "aging {aging}, slo {slo_aware}, +{offset_us}us"
+                );
+            }
+        }
+    }
+    // Only the boosted inference waiter can evict: without aging or its
+    // SLO boost nothing may, and with it the lowest-index resident goes.
+    let now = s.now;
+    assert_eq!(settle::pick_preemption(s, now, 0.0, false), None);
+    assert_eq!(settle::pick_preemption(s, now, 0.0, true), Some(0));
+}
+
+/// The skipped and unskipped victim searches agree at every step of a
+/// mixed training and inference run with preemption on.
+#[test]
+fn preemption_skip_matches_unskipped_search_through_a_mixed_run() {
+    let mut jobs = synthetic_mixed_jobs(120, 8, 5, 0.01);
+    jobs.extend(synthetic_inference_jobs(8, 3, 0.1, 40.0));
+    let cfg = ClusterConfig::builder()
+        .gpus(8)
+        .strategy(StrategyKind::BestFit)
+        .admission(AdmissionMode::TfOri)
+        .preemption(true)
+        .elastic(true)
+        .build()
+        .unwrap();
+    let (aging, slo_aware) = (cfg.aging_rate, cfg.slo_aware);
+    let mut cluster = Cluster::new(cfg);
+    for spec in &jobs {
+        cluster.submit(spec);
+    }
+    let mut victims = 0;
+    loop {
+        let s = &cluster.session;
+        for (aging, slo_aware) in [(aging, slo_aware), (0.0, false)] {
+            let skip = settle::pick_preemption(s, s.now, aging, slo_aware);
+            assert_eq!(
+                skip,
+                settle::pick_preemption_brute(s, s.now, aging, slo_aware),
+                "at {:?}",
+                s.now
+            );
+            victims += usize::from(skip.is_some());
+        }
+        if !cluster.step() {
+            break;
+        }
+    }
+    assert!(victims > 0, "the run never offered a victim");
+    assert!(cluster.stats().preemptions > 0);
 }

@@ -17,7 +17,6 @@
 //! byte-identical placements on arbitrary reservation histories.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use capuchin_sim::{Duration, Time};
 
@@ -245,11 +244,90 @@ fn leftover(headroom: u64, full_need: u64) -> u64 {
     headroom - headroom.min(full_need)
 }
 
-/// Max-heap rank key of one best-fit candidate: `(effective priority,
-/// raw priority, earliest arrival, lowest job index)` — descending
-/// effective priority with every tie broken, so the key order is total
-/// and heap pops reproduce the full-sort order exactly.
+/// Rank key of one best-fit candidate: `(effective priority, raw
+/// priority, earliest arrival, lowest job index)` — descending effective
+/// priority with every tie broken, so the key order is total and its
+/// maximum is the first candidate of the full-sort order.
 type RankKey = (u128, u32, Reverse<u64>, Reverse<usize>);
+
+/// Per-pick memo of the placeability test `count_at_least(t, k) >= k`
+/// over gang width `k` and fit threshold `t`. The test is monotone:
+/// feasible at (k, t) means feasible at every k' <= k, t' <= t, and
+/// infeasible at (k, t) means infeasible at every k' >= k, t' >= t. Each
+/// probed width keeps its highest feasible and lowest infeasible
+/// threshold, and either bound also answers narrower or wider gangs, so
+/// a backlog drawn from a few shapes costs a few index probes per pick.
+#[derive(Default)]
+struct Feasibility {
+    /// `(width, highest feasible threshold, lowest infeasible threshold)`.
+    bounds: Vec<(usize, Option<u64>, Option<u64>)>,
+}
+
+impl Feasibility {
+    /// Whether at least `k` devices clear `t`. The caller has checked
+    /// `t <= pool.max_headroom()`, which settles `k == 1` outright.
+    fn placeable(&mut self, pool: &GpuPool, k: usize, t: u64) -> bool {
+        if k == 1 {
+            return true;
+        }
+        for &(w, yes, no) in &self.bounds {
+            if w >= k && yes.is_some_and(|y| t <= y) {
+                return true;
+            }
+            if w <= k && no.is_some_and(|n| t >= n) {
+                return false;
+            }
+        }
+        let ok = pool.count_at_least(t, k) >= k;
+        // No bound of width k answered `t` above, so `t` tightens it.
+        match self.bounds.iter_mut().find(|e| e.0 == k) {
+            Some(e) if ok => e.1 = Some(t),
+            Some(e) => e.2 = Some(t),
+            None => self.bounds.push((k, ok.then_some(t), (!ok).then_some(t))),
+        }
+        ok
+    }
+}
+
+/// The tightest gang of `k` devices clearing `threshold`, or `None` when
+/// fewer than `k` do. Fitting devices are enumerated domain by domain,
+/// skipping domains whose best device falls short: each domain's `k`
+/// tightest members compete for the same-domain preference (least total
+/// leftover, then lowest domain), and all fitting devices feed the
+/// cross-domain fallback.
+fn tightest_gang(pool: &GpuPool, threshold: u64, k: usize, full_need: u64) -> Option<Vec<usize>> {
+    let mut fitting: Vec<(u64, usize)> = Vec::new();
+    let mut best: Option<(u64, usize, Vec<usize>)> = None;
+    let mut next = 0;
+    while let Some(d) = pool.next_domain_at_least(next, threshold) {
+        next = d + 1;
+        let mut members: Vec<(u64, usize)> = pool
+            .domain_members(d)
+            .iter()
+            .filter_map(|&g| {
+                let h = pool.headroom(g);
+                (h >= threshold).then(|| (leftover(h, full_need), g))
+            })
+            .collect();
+        members.sort_unstable();
+        if members.len() >= k {
+            let total: u64 = members[..k].iter().map(|&(l, _)| l).sum();
+            if best
+                .as_ref()
+                .is_none_or(|&(bt, bd, _)| (total, d) < (bt, bd))
+            {
+                best = Some((total, d, members[..k].iter().map(|&(_, g)| g).collect()));
+            }
+        }
+        fitting.append(&mut members);
+    }
+    if let Some((_, _, idxs)) = best {
+        return Some(idxs);
+    }
+    // No single domain is wide enough: tightest k anywhere.
+    fitting.sort_unstable();
+    (fitting.len() >= k).then(|| fitting[..k].iter().map(|&(_, g)| g).collect())
+}
 
 impl BestFit {
     /// Candidates sorted by descending effective priority.
@@ -296,20 +374,18 @@ impl PlacementStrategy for BestFit {
     ) -> Option<(usize, Vec<usize>)> {
         let permille = aging_permille(self.aging_rate);
         let cap = pool.max_headroom();
-        // Keep only candidates whose threshold clears *some* device (the
-        // rest are unconditionally skipped below anyway), with the rank
-        // key computed once per candidate. The heap pops them lazily in
-        // exactly `ranked` order — rank keys are unique (the job index
-        // breaks every tie) — so the common cases are cheap: a no-fit
-        // probe is one O(queue) scan with no sort, and a first-candidate
-        // hit is a heapify plus a single pop.
-        let mut cands: Vec<(u64, CandidateJob)> = Vec::new();
-        let mut order: Vec<(RankKey, usize)> = Vec::new();
+        // Feasibility first: a candidate is placeable iff at least k
+        // devices clear its threshold — exactly the devices the gang
+        // search draws from, so the highest-ranked placeable candidate
+        // is the pick. One pass keeps its arg-max rank key (computed for
+        // placeable candidates only); the gang search then runs once.
+        let mut feasible = Feasibility::default();
+        let mut best: Option<(RankKey, u64, CandidateJob)> = None;
         for cand in queue {
             let Some(threshold) = cand.fit_threshold() else {
                 continue;
             };
-            if threshold > cap {
+            if threshold > cap || !feasible.placeable(pool, cand.gpus.max(1), threshold) {
                 continue;
             }
             let eff = effective_priority_permille(
@@ -323,52 +399,12 @@ impl PlacementStrategy for BestFit {
                 Reverse(cand.arrival.as_nanos()),
                 Reverse(cand.job),
             );
-            order.push((key, cands.len()));
-            cands.push((threshold, cand));
-        }
-        let mut ranked = BinaryHeap::from(order);
-        while let Some((_, i)) = ranked.pop() {
-            let (threshold, cand) = cands[i];
-            let k = cand.gpus.max(1);
-            // Enumerate fitting GPUs domain by domain, skipping domains
-            // whose best device falls short. Each domain's k tightest
-            // members compete for the same-domain preference; all fitting
-            // devices feed the cross-domain fallback.
-            let mut fitting: Vec<(u64, usize)> = Vec::new();
-            let mut best: Option<(u64, usize, Vec<usize>)> = None;
-            let mut next = 0;
-            while let Some(d) = pool.next_domain_at_least(next, threshold) {
-                next = d + 1;
-                let mut members: Vec<(u64, usize)> = pool
-                    .domain_members(d)
-                    .iter()
-                    .filter_map(|&g| {
-                        let h = pool.headroom(g);
-                        (h >= threshold).then(|| (leftover(h, cand.full_need), g))
-                    })
-                    .collect();
-                members.sort_unstable();
-                if members.len() >= k {
-                    let total: u64 = members[..k].iter().map(|&(l, _)| l).sum();
-                    if best
-                        .as_ref()
-                        .is_none_or(|&(bt, bd, _)| (total, d) < (bt, bd))
-                    {
-                        best = Some((total, d, members[..k].iter().map(|&(_, g)| g).collect()));
-                    }
-                }
-                fitting.append(&mut members);
-            }
-            if let Some((_, _, idxs)) = best {
-                return Some((cand.job, idxs));
-            }
-            if fitting.len() >= k {
-                // No single domain is wide enough: tightest k anywhere.
-                fitting.sort_unstable();
-                return Some((cand.job, fitting[..k].iter().map(|&(_, g)| g).collect()));
+            if best.as_ref().is_none_or(|(b, _, _)| key > *b) {
+                best = Some((key, threshold, cand));
             }
         }
-        None
+        let (_, threshold, cand) = best?;
+        tightest_gang(pool, threshold, cand.gpus.max(1), cand.full_need).map(|g| (cand.job, g))
     }
 
     fn pick_brute(

@@ -6,11 +6,13 @@
 //!    release / full release (preempt) / regrow mutations, every
 //!    [`GpuPool`] query (max, first-at-least, count-at-least, domain
 //!    search) answers exactly what a linear scan answers.
-//! 2. **Pick = brute pick** — for arbitrary candidate sets (singles and
-//!    gangs, random priorities, arrivals and failed budgets) both
-//!    [`FifoFirstFit`] and [`BestFit`] return the same `(job, gang)`
-//!    through the indexed [`PlacementStrategy::pick`] as through the
-//!    retained [`PlacementStrategy::pick_brute`] reference.
+//! 2. **Pick = brute pick** — for arbitrary candidate sets (up to 24
+//!    singles and gangs drawn from a small shape menu so equal and
+//!    dominated shapes repeat; random priorities, arrivals, SLO boosts
+//!    and failed budgets) both [`FifoFirstFit`] and [`BestFit`] return
+//!    the same `(job, gang)` through the indexed
+//!    [`PlacementStrategy::pick`] as through the retained
+//!    [`PlacementStrategy::pick_brute`] reference.
 //! 3. **Eligible-subset feed** — [`BestFit`] declares itself
 //!    order-insensitive, which lets the cluster feed `pick` only the
 //!    candidates whose fit threshold clears the best headroom (a
@@ -27,11 +29,17 @@ use capuchin_cluster::{
 use capuchin_sim::Time;
 use proptest::prelude::*;
 
-/// Candidate knobs: `(priority, arrival slot, gang width, full-need
-/// eighths, min-need eighths, failed-budget eighths)`. Eighths are scaled
-/// against the capacity menu below so thresholds land on, above and below
-/// real headroom values.
-type CandKnobs = (u32, u64, usize, u8, u8, Option<u8>);
+/// One candidate shape: `(gang width, full-need eighths, min-need
+/// eighths, failed-budget eighths)`. Eighths are scaled against the
+/// capacity menu below so thresholds land on, above and below real
+/// headroom values.
+type ShapeKnobs = (usize, u8, u8, Option<u8>);
+
+/// Candidate knobs: `(priority, arrival slot, shape index into the
+/// case's shape menu, SLO boost permille)`. Drawing shapes from a small
+/// per-case menu makes equal and dominated shapes repeat, which is what
+/// the pick's per-pick feasibility memo answers from.
+type CandKnobs = (u32, u64, usize, u64);
 
 const CAPS: &[u64] = &[64, 96, 128];
 
@@ -39,11 +47,12 @@ fn build_pool(caps: &[u64], domains: &[usize]) -> GpuPool {
     GpuPool::new(caps.to_vec(), domains.to_vec())
 }
 
-fn candidates_from(knobs: &[CandKnobs]) -> Vec<CandidateJob> {
+fn candidates_from(menu: &[ShapeKnobs], knobs: &[CandKnobs]) -> Vec<CandidateJob> {
     knobs
         .iter()
         .enumerate()
-        .map(|(i, &(priority, slot, gpus, full8, min8, failed8))| {
+        .map(|(i, &(priority, slot, shape, boost_permille))| {
+            let (gpus, full8, min8, failed8) = menu[shape % menu.len()];
             let full_need = 16 * full8 as u64;
             CandidateJob {
                 job: i,
@@ -54,7 +63,7 @@ fn candidates_from(knobs: &[CandKnobs]) -> Vec<CandidateJob> {
                 // The cluster invariant: min never exceeds full.
                 min_need: (16 * min8 as u64).min(full_need),
                 failed_budget: failed8.map(|f| 16 * f as u64),
-                boost_permille: 0,
+                boost_permille,
             }
         })
         .collect()
@@ -71,12 +80,23 @@ proptest! {
         // shape), climbing values are regrows, descending values are
         // partial releases — together an arbitrary interleaving.
         muts in prop::collection::vec((0usize..32, 0u8..9), 0..40),
-        knobs in prop::collection::vec(
-            // The last knob folds `Option` into an integer (0 = no
-            // failed budget) — the vendored proptest has no option
+        menu in prop::collection::vec(
+            // The failed-budget knob folds `Option` into an integer (0 =
+            // no failed budget) — the vendored proptest has no option
             // combinator.
-            (0u32..4, 0u64..8, 1usize..5, 0u8..9, 0u8..9, (0u8..10).prop_map(|v| v.checked_sub(1))),
-            0..8,
+            (1usize..5, 0u8..9, 0u8..9, (0u8..10).prop_map(|v| v.checked_sub(1))),
+            1..5,
+        ),
+        knobs in prop::collection::vec(
+            (
+                0u32..4,
+                0u64..8,
+                0usize..4,
+                // Half the candidates unboosted; the rest up to the
+                // two-point cap, so boosts reorder across priorities.
+                prop_oneof![Just(0u64), 1u64..2001],
+            ),
+            0..24,
         ),
         aging in prop_oneof![Just(0.0), Just(0.1), Just(1.0)],
         now_slot in 0u64..16,
@@ -124,7 +144,7 @@ proptest! {
 
         // (2) Indexed pick == brute pick, for both strategies, on the
         // final pool state.
-        let pending = candidates_from(&knobs);
+        let pending = candidates_from(&menu, &knobs);
         let views = pool.views();
         let now = Time::from_micros(now_slot * 500_000);
         let fifo = FifoFirstFit;

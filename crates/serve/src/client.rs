@@ -41,10 +41,11 @@ impl Client {
     ///
     /// Propagates the socket write error.
     pub fn send(&mut self, msg: &Value) -> io::Result<()> {
-        let line = serde_json::to_string(msg)
+        let mut line = serde_json::to_string(msg)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        // One write, newline included: see the daemon's writer.
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()
     }
 

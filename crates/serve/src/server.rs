@@ -204,8 +204,8 @@ fn on_off(flags: &HashMap<String, String>, key: &str, what: &'static str) -> Res
     }
 }
 
-/// Longest the scheduler waits, at shutdown, for the requester's writer
-/// to put the `shutdown` reply on the wire.
+/// Longest the scheduler waits, at shutdown, for the requester's and the
+/// subscribers' writers to put their last lines on the wire.
 const SHUTDOWN_FLUSH: std::time::Duration = std::time::Duration::from_secs(5);
 
 /// A running daemon: the bound address plus the threads to join.
@@ -224,9 +224,10 @@ impl ServerHandle {
 
     /// Blocks until the daemon stops (a client sent `shutdown`). Returns
     /// only after the `shutdown` reply has been written to the requester
-    /// (the daemon waits up to five seconds for it), so a process that
-    /// exits right after `wait` does not lose it. Other connections are
-    /// not waited on.
+    /// and every subscriber's queued lines to that subscriber (the daemon
+    /// waits up to five seconds for all of them), so a process that exits
+    /// right after `wait` does not lose them. Other connections' pending
+    /// replies are not waited on.
     pub fn wait(self) {
         let _ = self.scheduler.join();
         let _ = self.listener.join();
@@ -323,10 +324,12 @@ fn reader_loop(stream: TcpStream, tx: &Sender<Command>, queue: &Arc<SubQueue>) {
 }
 
 fn writer_loop(mut stream: TcpStream, queue: &Arc<SubQueue>) {
-    while let Some(line) = queue.pop() {
+    while let Some(mut line) = queue.pop() {
+        // One write per line: a separate newline segment would wait out
+        // Nagle plus the peer's delayed ACK on every round trip.
+        line.push('\n');
         let write = stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .and_then(|()| stream.flush());
         if write.is_err() {
             // The consumer is gone; closing prunes this subscriber at the
@@ -388,11 +391,18 @@ fn scheduler_loop(
                     stop.store(true, Ordering::Relaxed);
                     // Unblock the listener's accept so it observes `stop`.
                     let _ = TcpStream::connect(addr);
-                    // The requester's writer drains its closed queue and
-                    // exits; `ServerHandle::wait` joins this thread, so
-                    // the reply is on the wire before the process can
-                    // exit.
-                    queue.wait_finished(SHUTDOWN_FLUSH);
+                    // Each writer drains its closed queue and exits;
+                    // `ServerHandle::wait` joins this thread, so the
+                    // reply and every subscriber's last lines (a final
+                    // `dropped` marker among them) are on the wire before
+                    // the process can exit. One deadline bounds the wait
+                    // for all of them.
+                    let deadline = std::time::Instant::now() + SHUTDOWN_FLUSH;
+                    for q in subs.iter().map(|s| &s.queue).chain([&queue]) {
+                        q.wait_finished(
+                            deadline.saturating_duration_since(std::time::Instant::now()),
+                        );
+                    }
                     break;
                 }
             }
@@ -573,6 +583,51 @@ mod tests {
         done_rx
             .recv()
             .expect("scheduler stops once the reply is written");
+        scheduler.join().expect("scheduler thread");
+    }
+
+    /// A subscriber's writer, still pacing out its queued stream lines
+    /// when another client sends `shutdown`, holds the scheduler thread
+    /// until it has written them.
+    #[test]
+    fn shutdown_waits_for_every_subscribers_writer() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (tx, rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let scheduler = thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            let cluster = Cluster::new(ClusterConfig::default());
+            scheduler_loop(cluster, ClockMode::Virtual, &rx, &stop, addr);
+            done_tx.send(()).expect("test is listening");
+        });
+        let send = |line: &str, queue: &Arc<SubQueue>| {
+            let env = protocol::parse_request(line).expect("request");
+            tx.send(Command::Request {
+                env,
+                queue: Arc::clone(queue),
+            })
+            .expect("send");
+        };
+        let sub = SubQueue::new(protocol::DEFAULT_EVENT_QUEUE);
+        send(r#"{"op":"subscribe"}"#, &sub);
+        let reply = sub.pop().expect("subscribe reply");
+        assert!(reply.contains("\"reply\":\"subscribe\""), "{reply}");
+        let control = SubQueue::new(protocol::DEFAULT_EVENT_QUEUE);
+        send(r#"{"op":"shutdown"}"#, &control);
+        assert!(control.pop().is_some(), "shutdown reply");
+        assert!(control.pop().is_none(), "the requester's queue is closed");
+        control.mark_finished();
+        let early = done_rx.recv_timeout(std::time::Duration::from_millis(500));
+        assert!(
+            early.is_err(),
+            "scheduler stopped before the subscriber's writer finished"
+        );
+        while sub.pop().is_some() {}
+        sub.mark_finished();
+        done_rx
+            .recv()
+            .expect("scheduler stops once every writer finished");
         scheduler.join().expect("scheduler thread");
     }
 }

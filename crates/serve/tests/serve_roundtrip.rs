@@ -207,6 +207,42 @@ fn errors_are_replies_not_disconnects() {
     handle.wait();
 }
 
+/// Closed-loop round trips do not stall: each request and each reply
+/// leaves in one write, so neither side's small trailing segment waits
+/// out Nagle plus a delayed ACK (about 44 ms a round trip when they did).
+#[test]
+fn sequential_status_round_trips_do_not_stall() {
+    let handle = serve(ServeConfig {
+        cluster: cfg(),
+        clock: ClockMode::Virtual,
+        addr: "127.0.0.1:0".into(),
+    })
+    .expect("bind");
+    let mut control = Client::connect(handle.addr()).expect("connect");
+    let id = submit(&mut control, &job("alpha", 32, 3, 0.0));
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        let reply = control
+            .request(&request(
+                "status",
+                vec![("job".to_owned(), Value::UInt(id))],
+            ))
+            .expect("status");
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 status round trips took {elapsed:?}"
+    );
+    let _ = control.request(&request("shutdown", vec![]));
+    handle.wait();
+}
+
 #[test]
 fn wall_clock_daemon_still_drains_to_completion() {
     let handle = serve(ServeConfig {
